@@ -8,7 +8,7 @@ GO ?= go
 # platform variance; raise it as coverage grows, never lower it.
 COVER_MIN ?= 82.4
 
-.PHONY: all build test race bench lint fmt cover cover-check fuzz-smoke linkcheck doccheck docs bench-campaign bench-suite bench-smoke bench-compare bench-scaling
+.PHONY: all build test race bench examples lint fmt cover cover-check fuzz-smoke linkcheck doccheck docs bench-campaign bench-suite bench-smoke bench-compare bench-scaling
 
 all: lint build test
 
@@ -24,6 +24,14 @@ race:
 # bench smoke: compile and run every benchmark once, no timing claims.
 bench:
 	$(GO) test -run=NONE -bench=. -benchtime=1x -timeout 1800s ./...
+
+# examples runs every examples/* program end to end (each finishes in
+# about a second), so a broken example fails the build instead of only
+# compiling.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run ./$$d || exit 1; \
+	done
 
 # cover runs the suite with per-package coverage and enforces the
 # floor. CI folds the profile into the race run instead (one suite

@@ -222,9 +222,11 @@
 // the paper's related work (the deadline pricing of [29] and the prepaid
 // Retainer Model of [26–28]), statistical model validation (KS and
 // chi-square exponentiality tests, exact rate confidence intervals),
-// trace interchange (CSV/JSONL), an adaptive inference-and-retuning
-// controller, and the harness regenerating every figure and table of the
-// paper's evaluation (RunExperiment).
+// trace interchange (CSV/JSONL), and the harness regenerating every
+// figure and table of the paper's evaluation (RunExperiment). Learning
+// an unknown price→rate curve while spending the budget is the
+// campaign loop (RunCampaign): round 0 is priced on the prior, later
+// rounds on the fit of the observed on-hold times.
 //
 // # API index
 //
@@ -246,12 +248,11 @@
 //     probes (Probe, EstimateFixedPeriod, ...) and RunExperiment.
 //   - Latency distributions (distributions.go): Distribution with the
 //     Exponential, Erlang, HyperExponential and LogNormal families.
-//   - Adaptive control (adaptive.go): AdaptiveController and its
-//     spec/report types — interleaved inference and re-tuning.
 //   - Validation (stats.go): TestExponential, TestExponentialBinned,
 //     RateIntervalFromDurations with KSResult, ChiSquareResult, RateCI.
 //   - Campaigns (campaign.go): Campaign and its part types, RunCampaign,
-//     RunCampaignFleet, PaperCampaignFleet.
+//     RunCampaignFleet, PaperCampaignFleet — the closed inference and
+//     re-tuning loop (examples/adaptive runs one from a wrong prior).
 //   - Serving (serve.go): ServerConfig, TrafficConfig, Server,
 //     NewServer, MetricsSnapshot, CacheStats; durable variants Store,
 //     StoreOptions, OpenStore, RecoverServer.

@@ -1,10 +1,13 @@
 // Adaptive tuning: a requester who does not know the market's price→rate
-// curve starts from a wrong prior, observes each repetition wave's
-// acceptance times, re-fits the Linearity Hypothesis and re-tunes the
-// remaining budget — versus a stubborn requester who never updates.
+// curve starts from a wrong prior. A campaign prices its first round on
+// that prior, observes the round's on-hold times, re-fits the Linearity
+// Hypothesis and prices every later round on the fit — so round 0 is the
+// stubborn requester who never updates, and the rounds after it show
+// what learning the market buys.
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,44 +26,43 @@ func main() {
 		ProcRate: 4,
 		Accuracy: 1,
 	}
-	groups := []hputune.AdaptiveGroupSpec{
-		{Name: "big", Tasks: 40, Reps: 3, TrueClass: class},
-		{Name: "small", Tasks: 10, Reps: 5, TrueClass: class},
+	res, err := hputune.RunCampaign(context.Background(), nil, hputune.Campaign{
+		Name: "vote",
+		Groups: []hputune.CampaignGroup{
+			{Name: "big", Tasks: 40, Reps: 3, Class: class},
+			{Name: "small", Tasks: 10, Reps: 5, Class: class},
+		},
+		Prior:       wrongPrior,
+		RoundBudget: 2500,
+		MaxRounds:   6,
+		Epsilon:     0.05,
+		Seed:        7,
+	})
+	if err != nil {
+		log.Fatalf("campaign: %v", err)
 	}
 
-	run := func(freeze bool) hputune.AdaptiveReport {
-		c := &hputune.AdaptiveController{
-			Groups: groups,
-			Budget: 2500,
-			Prior:  wrongPrior,
-			Seed:   7,
-			Freeze: freeze,
+	fmt.Println("round-by-round (round 0 is priced on the wrong prior):")
+	for _, r := range res.Rounds {
+		fmt.Printf("  round %d: prices %v, spent %d units, makespan %.3f h",
+			r.Round, r.Prices, r.Spent, r.Makespan)
+		if r.Fit != nil {
+			fmt.Printf(", then fit λo(c) ≈ %.2f·c + %.2f", r.Fit.Slope, r.Fit.Intercept)
 		}
-		rep, err := c.Run()
-		if err != nil {
-			log.Fatalf("adaptive run (freeze=%v): %v", freeze, err)
-		}
-		return rep
+		fmt.Println()
 	}
-
-	adaptive := run(false)
-	frozen := run(true)
-
-	fmt.Printf("frozen wrong prior: makespan %.3f h, spent %d units\n",
-		frozen.Makespan, frozen.Spent)
-	fmt.Printf("adaptive:           makespan %.3f h, spent %d units\n",
-		adaptive.Makespan, adaptive.Spent)
-	fmt.Printf("speedup from learning the market: %.1f%%\n",
-		100*(1-adaptive.Makespan/frozen.Makespan))
-
-	fmt.Printf("\nfitted model after the run: λo(c) ≈ %.2f·c + %.2f (truth: 1·c + 1)\n",
-		adaptive.FinalFit.Slope, adaptive.FinalFit.Intercept)
-	fmt.Println("\nwave-by-wave prices (per repetition, active groups in order):")
-	for w, prices := range adaptive.WavePrices {
-		fmt.Printf("  wave %d: %v\n", w, prices)
+	prior := res.Rounds[0].Makespan
+	fitted := 0.0
+	for _, r := range res.Rounds[1:] {
+		fitted += r.Makespan
 	}
-	fmt.Println("\nobserved price levels -> estimated rates:")
-	for i, p := range adaptive.PriceLevels {
-		fmt.Printf("  c=%-4.0f λ̂o=%.3f\n", p, adaptive.RateEstimates[i])
+	fitted /= float64(len(res.Rounds) - 1)
+	fmt.Printf("\nprior round makespan:        %.3f h\n", prior)
+	fmt.Printf("fitted rounds mean makespan: %.3f h (%.1f%% faster)\n",
+		fitted, 100*(1-fitted/prior))
+	fmt.Printf("\n%s after %d rounds (converged: %v)\n", res.Status, res.RoundsRun, res.Converged)
+	if res.Fit != nil {
+		fmt.Printf("fitted model: λo(c) ≈ %.2f·c + %.2f over %d price levels (truth: 1·c + 1)\n",
+			res.Fit.Slope, res.Fit.Intercept, res.Fit.Prices)
 	}
 }

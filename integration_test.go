@@ -2,6 +2,7 @@ package hputune_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"testing"
 
@@ -226,24 +227,38 @@ func TestComparatorFacade(t *testing.T) {
 	}
 }
 
-// TestAdaptiveFacade runs the adaptive controller through the facade.
-func TestAdaptiveFacade(t *testing.T) {
-	truth := hputune.Linear{K: 1, B: 1}
-	class := &hputune.TaskClass{Name: "vote", Accept: truth, ProcRate: 4, Accuracy: 1}
-	c := &hputune.AdaptiveController{
-		Groups: []hputune.AdaptiveGroupSpec{
-			{Name: "g", Tasks: 20, Reps: 3, TrueClass: class},
+// TestCampaignFacadeLearnsFromWrongPrior runs examples/adaptive's
+// campaign through the facade: round 0 is priced on a prior that
+// believes payment barely matters, so it starves the 40-task group; the
+// fit of round 0's observations must price every later round faster
+// and land near the true model.
+func TestCampaignFacadeLearnsFromWrongPrior(t *testing.T) {
+	class := &hputune.TaskClass{Name: "vote", Accept: hputune.Linear{K: 1, B: 1}, ProcRate: 4, Accuracy: 1}
+	res, err := hputune.RunCampaign(context.Background(), nil, hputune.Campaign{
+		Groups: []hputune.CampaignGroup{
+			{Name: "big", Tasks: 40, Reps: 3, Class: class},
+			{Name: "small", Tasks: 10, Reps: 5, Class: class},
 		},
-		Budget: 600,
-		Prior:  truth,
-		Seed:   2,
-	}
-	rep, err := c.Run()
+		Prior:       hputune.Linear{K: 0.05, B: 8},
+		RoundBudget: 2500,
+		MaxRounds:   6,
+		Epsilon:     0.05,
+		Seed:        7,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Makespan <= 0 || rep.Spent > 600 || len(rep.WavePrices) != 3 {
-		t.Errorf("adaptive report wrong: %+v", rep)
+	if !res.Converged || len(res.Rounds) < 2 || res.Spent > 6*2500 {
+		t.Fatalf("campaign did not converge within budget: %+v", res)
+	}
+	for _, r := range res.Rounds[1:] {
+		if r.Makespan >= res.Rounds[0].Makespan {
+			t.Errorf("round %d priced on the fit took %.3f h, the prior's round 0 %.3f h",
+				r.Round, r.Makespan, res.Rounds[0].Makespan)
+		}
+	}
+	if res.Fit == nil || res.Fit.Slope < 0.5 || res.Fit.Slope > 1.5 {
+		t.Errorf("final fit %+v, want a slope near the true 1", res.Fit)
 	}
 }
 

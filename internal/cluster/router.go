@@ -37,8 +37,7 @@ import (
 type Router struct {
 	cl     *Cluster
 	client *http.Client
-	mux    *http.ServeMux
-	hist   *traffic.HistogramSet
+	edge   *server.Edge
 
 	// replica, when set (SetReplicaSource), materializes a node's
 	// follower replica state for stale-allowed reads while the node is
@@ -52,73 +51,60 @@ type Router struct {
 	staleReads atomic.Uint64
 }
 
-// maxRouterBody mirrors the nodes' request byte cap.
-const maxRouterBody = 32 << 20
-
 // NewRouter builds a router over cl; client nil means a 30s-timeout
 // default.
 func NewRouter(cl *Cluster, client *http.Client) *Router {
 	if client == nil {
 		client = &http.Client{Timeout: 30 * time.Second}
 	}
-	rt := &Router{cl: cl, client: client, mux: http.NewServeMux()}
-	var patterns []string
-	handle := func(pattern string, h http.HandlerFunc) {
-		rt.mux.HandleFunc(pattern, h)
-		patterns = append(patterns, pattern)
-	}
-	handle("POST /v1/solve", rt.roundRobin)
-	handle("POST /v1/solve-heterogeneous", rt.roundRobin)
-	handle("POST /v1/simulate", rt.roundRobin)
-	handle("POST /v1/ingest", rt.handleIngest)
-	handle("POST /v1/campaigns", rt.handleCampaignStart)
-	handle("GET /v1/campaigns", rt.handleCampaignList)
-	handle("GET /v1/campaigns/{id}", rt.handleCampaignByID)
-	handle("DELETE /v1/campaigns/{id}", rt.handleCampaignByID)
-	handle("GET /v1/stats", rt.handleFanout)
-	handle("GET /v1/metrics", rt.handleFanout)
-	handle("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	rt := &Router{cl: cl, client: client}
+	rt.edge = server.NewEdge(map[string]http.HandlerFunc{
+		"POST /v1/solve":               rt.roundRobin,
+		"POST /v1/solve-heterogeneous": rt.roundRobin,
+		"POST /v1/simulate":            rt.roundRobin,
+		"POST /v1/ingest":              rt.handleIngest,
+		"POST /v1/campaigns":           rt.handleCampaignStart,
+		"GET /v1/campaigns":            rt.handleCampaignList,
+		"GET /v1/campaigns/{id}":       rt.handleCampaignByID,
+		"DELETE /v1/campaigns/{id}":    rt.handleCampaignByID,
+		"GET /v1/stats":                rt.handleFanout,
+		"GET /v1/metrics":              rt.handleFanout,
+		"GET /v1/healthz":              server.Healthz,
 	})
-	rt.hist = traffic.NewHistogramSet(patterns...)
 	return rt
 }
 
-// Handler wraps the mux with the byte cap, envelope interception for
-// the mux's own plain-text 404/405s, and the latency histograms.
+// Handler mounts the nodes' own HTTP edge (body cap, request ids,
+// envelope interception, latency histograms) around the routes.
 func (rt *Router) Handler() http.Handler {
-	inner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ew := &envelopeWriter{rw: w}
-		_, pattern := rt.mux.Handler(r)
-		rt.mux.ServeHTTP(ew, r)
-		ew.finish()
-		rt.hist.Observe(pattern, time.Since(start))
-	})
-	return http.MaxBytesHandler(inner, maxRouterBody)
+	return rt.edge.Handler(rt.edge, nil)
 }
 
-// forward proxies one request body to a node and copies the reply —
-// status, content type and body — back verbatim, so envelope replies
-// survive the hop untouched. An unreachable node becomes a 503 with
-// the overloaded code and a retry hint.
+// forward proxies one request body to a node and relays the reply. An
+// unreachable node becomes a 503 with the overloaded code and a retry
+// hint.
 func (rt *Router) forward(w http.ResponseWriter, r *http.Request, node, path string, body []byte) {
-	status, _, raw, err := rt.call(r, node, path, body)
+	status, raw, err := rt.call(r, node, path, body)
 	if err != nil {
-		writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second,
-			"node %q unreachable: %v", node, err)
+		server.WriteOverloaded(w, time.Second, "node %q unreachable: %v", node, err)
 		return
 	}
+	relay(w, status, raw)
+}
+
+// relay copies a node reply — status, content type and body — back
+// verbatim, so envelope replies survive the hop untouched.
+func relay(w http.ResponseWriter, status int, raw []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(raw)
 }
 
-// call issues one node request and returns status, headers and body.
-func (rt *Router) call(r *http.Request, node, path string, body []byte) (int, http.Header, []byte, error) {
+// call issues one node request and returns its status and body.
+func (rt *Router) call(r *http.Request, node, path string, body []byte) (int, []byte, error) {
 	base, ok := rt.cl.NodeURL(node)
 	if !ok {
-		return 0, nil, nil, fmt.Errorf("unknown node")
+		return 0, nil, fmt.Errorf("unknown node")
 	}
 	var rd io.Reader
 	if body != nil {
@@ -126,7 +112,7 @@ func (rt *Router) call(r *http.Request, node, path string, body []byte) (int, ht
 	}
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, base+path, rd)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	// The client identity must survive the hop: the nodes rate-limit
 	// and partition on it. Header-less clients get their resolved
@@ -134,11 +120,16 @@ func (rt *Router) call(r *http.Request, node, path string, body []byte) (int, ht
 	// such client would share one node-side rate bucket keyed by the
 	// router's own address, and one noisy client could exhaust the
 	// cluster's whole budget for everyone behind the proxy. A
-	// caller-supplied value is forwarded verbatim.
-	for _, h := range []string{server.DefaultClientHeader, "X-Request-ID", "Content-Type"} {
+	// caller-supplied value is forwarded verbatim. The request id the
+	// edge accepted or minted goes along, so one id follows the request
+	// from the router to the node.
+	for _, h := range []string{server.DefaultClientHeader, "Content-Type"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
+	}
+	if rid := server.RequestID(r); rid != "" {
+		req.Header.Set(server.RequestIDHeader, rid)
 	}
 	if req.Header.Get(server.DefaultClientHeader) == "" {
 		if key := server.ResolveClientKey(r, ""); key != "" {
@@ -147,15 +138,20 @@ func (rt *Router) call(r *http.Request, node, path string, body []byte) (int, ht
 	}
 	resp, err := rt.client.Do(req)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxRouterBody+1))
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxBodyBytes+1))
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, err
+	}
+	if len(raw) > server.MaxBodyBytes {
+		// Forwarding the capped prefix would pass a truncated, invalid
+		// body off as the node's reply.
+		return 0, nil, fmt.Errorf("reply exceeds the %d-byte cap", server.MaxBodyBytes)
 	}
 	rt.proxied.Add(1)
-	return resp.StatusCode, resp.Header, raw, nil
+	return resp.StatusCode, raw, nil
 }
 
 // readBody drains the (capped) request body.
@@ -166,7 +162,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 		if _, ok := err.(*http.MaxBytesError); ok {
 			status = http.StatusRequestEntityTooLarge
 		}
-		writeError(w, status, "read request body: %v", err)
+		server.WriteError(w, status, "read request body: %v", err)
 		return nil, false
 	}
 	return raw, true
@@ -180,7 +176,7 @@ func (rt *Router) roundRobin(w http.ResponseWriter, r *http.Request) {
 	}
 	pool := rt.cl.Healthy()
 	if len(pool) == 0 {
-		writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second, "no healthy nodes")
+		server.WriteOverloaded(w, time.Second, "no healthy nodes")
 		return
 	}
 	node := pool[rt.rr.Add(1)%uint64(len(pool))]
@@ -202,7 +198,7 @@ func (rt *Router) handleIngest(w http.ResponseWriter, r *http.Request) {
 	key := server.ResolveClientKey(r, "")
 	node := rt.cl.Place("ingest:" + key)
 	if node == "" {
-		writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second, "empty cluster")
+		server.WriteOverloaded(w, time.Second, "empty cluster")
 		return
 	}
 	rt.forward(w, r, node, "/v1/ingest", body)
@@ -297,11 +293,11 @@ func (rt *Router) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	}
 	subs, err := scatter(body)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "scatter campaign spec: %v", err)
+		server.WriteError(w, http.StatusBadRequest, "scatter campaign spec: %v", err)
 		return
 	}
 	if rt.cl.Place("probe") == "" {
-		writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second, "empty cluster")
+		server.WriteOverloaded(w, time.Second, "empty cluster")
 		return
 	}
 	var started []string // prefixed ids, in sub order
@@ -315,36 +311,33 @@ func (rt *Router) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				continue
 			}
-			_, _, _, _ = rt.call(req, node, "/v1/campaigns/"+rest, nil)
+			_, _, _ = rt.call(req, node, "/v1/campaigns/"+rest, nil)
 		}
 	}
 	for _, sub := range subs {
 		node := rt.cl.Place(sub.key)
-		status, _, raw, err := rt.call(r, node, "/v1/campaigns", sub.doc)
+		status, raw, err := rt.call(r, node, "/v1/campaigns", sub.doc)
 		if err != nil {
 			rollback()
-			writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second,
-				"node %q unreachable: %v", node, err)
+			server.WriteOverloaded(w, time.Second, "node %q unreachable: %v", node, err)
 			return
 		}
 		if status != http.StatusAccepted {
 			rollback()
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(status)
-			_, _ = w.Write(raw)
+			relay(w, status, raw)
 			return
 		}
 		var reply server.CampaignStartResponse
 		if err := json.Unmarshal(raw, &reply); err != nil || len(reply.IDs) != 1 {
 			rollback()
-			writeError(w, http.StatusInternalServerError,
+			server.WriteError(w, http.StatusInternalServerError,
 				"node %q start reply %q did not carry exactly one id", node, raw)
 			return
 		}
 		started = append(started, node+"-"+reply.IDs[0])
 	}
 	rt.scattered.Add(uint64(len(started)))
-	writeJSON(w, http.StatusAccepted, server.CampaignStartResponse{IDs: started})
+	server.WriteJSON(w, http.StatusAccepted, server.CampaignStartResponse{IDs: started})
 }
 
 // splitID cuts a cluster-wide campaign id "<node>-<id>" at the first
@@ -411,14 +404,14 @@ func (rt *Router) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 	full := r.PathValue("id")
 	node, rest, ok := splitID(full)
 	if !ok {
-		writeError(w, http.StatusNotFound, "campaign id %q has no node prefix", full)
+		server.WriteError(w, http.StatusNotFound, "campaign id %q has no node prefix", full)
 		return
 	}
 	if _, known := rt.cl.NodeURL(node); !known {
-		writeError(w, http.StatusNotFound, "unknown node %q in campaign id %q", node, full)
+		server.WriteError(w, http.StatusNotFound, "unknown node %q in campaign id %q", node, full)
 		return
 	}
-	status, _, raw, err := rt.call(r, node, "/v1/campaigns/"+rest, nil)
+	status, raw, err := rt.call(r, node, "/v1/campaigns/"+rest, nil)
 	if err != nil {
 		if r.Method == http.MethodGet {
 			if st := rt.replicaState(node); st != nil {
@@ -426,21 +419,18 @@ func (rt *Router) handleCampaignByID(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		writeEnvelope(w, http.StatusServiceUnavailable, server.CodeOverloaded, time.Second,
-			"node %q unreachable: %v", node, err)
+		server.WriteOverloaded(w, time.Second, "node %q unreachable: %v", node, err)
 		return
 	}
 	if status == http.StatusOK {
 		var reply server.CampaignGetResponse
 		if err := json.Unmarshal(raw, &reply); err == nil {
 			reply.ID = full
-			writeJSON(w, status, reply)
+			server.WriteJSON(w, status, reply)
 			return
 		}
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_, _ = w.Write(raw)
+	relay(w, status, raw)
 }
 
 // serveReplicaCampaign answers a campaign GET from a node's follower
@@ -459,12 +449,12 @@ func (rt *Router) serveReplicaCampaign(w http.ResponseWriter, st *store.State, n
 		}
 	}
 	if !ok {
-		writeError(w, http.StatusNotFound, "no campaign %q on node %q's replica (stale read; the node itself is unreachable)", rest, node)
+		server.WriteError(w, http.StatusNotFound, "no campaign %q on node %q's replica (stale read; the node itself is unreachable)", rest, node)
 		return
 	}
 	rt.staleReads.Add(1)
 	w.Header().Set(staleHeader, node)
-	writeJSON(w, http.StatusOK, server.CampaignGetResponse{ID: full, Stale: true, Result: replicaResult(cs)})
+	server.WriteJSON(w, http.StatusOK, server.CampaignGetResponse{ID: full, Stale: true, Result: replicaResult(cs)})
 }
 
 // handleCampaignList fans out, prefixes every summary id, and merges.
@@ -475,7 +465,7 @@ func (rt *Router) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 	var all []campaign.Summary
 	var stale []string
 	for _, n := range rt.cl.Nodes() {
-		status, _, raw, err := rt.call(r, n.Name, "/v1/campaigns", nil)
+		status, raw, err := rt.call(r, n.Name, "/v1/campaigns", nil)
 		if err != nil || status != http.StatusOK {
 			// The node is down: list its replica's view until promotion
 			// brings the campaigns back live.
@@ -509,7 +499,7 @@ func (rt *Router) handleCampaignList(w http.ResponseWriter, r *http.Request) {
 	if len(stale) > 0 {
 		w.Header().Set(staleHeader, strings.Join(stale, ","))
 	}
-	writeJSON(w, http.StatusOK, server.CampaignListResponse{Campaigns: all, StaleNodes: stale})
+	server.WriteJSON(w, http.StatusOK, server.CampaignListResponse{Campaigns: all, StaleNodes: stale})
 }
 
 // sortedStateCampaignIDs orders a replica state's campaign ids for a
@@ -548,7 +538,7 @@ func (rt *Router) Stats() RouterStats {
 		Failovers:  rt.failovers.Load(),
 		StaleReads: rt.staleReads.Load(),
 		Nodes:      rt.cl.Nodes(),
-		Endpoints:  rt.hist.Snapshot(),
+		Endpoints:  rt.edge.Histograms(),
 	}
 }
 
@@ -577,7 +567,7 @@ type staleNodeDoc struct {
 func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 	nodes := make(map[string]json.RawMessage)
 	for _, n := range rt.cl.Nodes() {
-		status, _, raw, err := rt.call(r, n.Name, r.URL.Path, nil)
+		status, raw, err := rt.call(r, n.Name, r.URL.Path, nil)
 		if err != nil || status != http.StatusOK {
 			if st := rt.replicaState(n.Name); st != nil {
 				doc, merr := json.Marshal(staleNodeDoc{
@@ -593,5 +583,5 @@ func (rt *Router) handleFanout(w http.ResponseWriter, r *http.Request) {
 		}
 		nodes[n.Name] = raw
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"router": rt.Stats(), "nodes": nodes})
+	server.WriteJSON(w, http.StatusOK, map[string]any{"router": rt.Stats(), "nodes": nodes})
 }

@@ -189,7 +189,7 @@ func TestRouterStartRejectsMalformedNodeReply(t *testing.T) {
 
 func TestRouterRejectsOversizedBody(t *testing.T) {
 	_, _, rts, _ := newTestCluster(t, 1)
-	big := bytes.Repeat([]byte("x"), maxRouterBody+1)
+	big := bytes.Repeat([]byte("x"), server.MaxBodyBytes+1)
 	resp, err := http.Post(rts.URL+"/v1/solve", "application/json", bytes.NewReader(big))
 	if err != nil {
 		t.Fatal(err)
@@ -197,6 +197,26 @@ func TestRouterRejectsOversizedBody(t *testing.T) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	}
+}
+
+func TestRouterRejectsOversizedNodeReply(t *testing.T) {
+	huge := bytes.Repeat([]byte(" "), server.MaxBodyBytes+1)
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(huge)
+	}))
+	defer node.Close()
+	cl := New(Config{})
+	if err := cl.AddNode("n0", node.URL); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(NewRouter(cl, nil).Handler())
+	defer rts.Close()
+	resp, raw := postDoc(t, rts.URL+"/v1/solve", routerSolveDoc)
+	var env server.ErrorEnvelope
+	if resp.StatusCode != http.StatusServiceUnavailable || json.Unmarshal(raw, &env) != nil || env.Error.Code != server.CodeOverloaded {
+		t.Fatalf("over-cap node reply forwarded as %d (%d bytes), want the 503 envelope", resp.StatusCode, len(raw))
 	}
 }
 

@@ -122,26 +122,59 @@ func TestRouterScatterAndFetchCampaigns(t *testing.T) {
 	if len(owners) < 2 {
 		t.Fatalf("8-campaign fleet landed on %d node(s); the ring should spread it", len(owners))
 	}
-	// The cluster-wide list carries every id.
-	resp2, err := http.Get(rts.URL + "/v1/campaigns")
-	if err != nil {
-		t.Fatal(err)
+	// A name with HTML-special characters survives the router's
+	// re-encoding byte for byte: the routed reply is the owner's own
+	// reply with the cluster-wide id.
+	const name = "a<b&c"
+	ids := startClusterFleet(t, rts.URL, strings.Replace(routerCampaignDoc, `"rc"`, `"`+name+`"`, 1))
+	waitAllTerminal(t, rts.URL, ids)
+	owner, rest, _ := splitID(ids[0])
+	var ownerURL string
+	for _, n := range nodes {
+		if n.name == owner {
+			ownerURL = n.ts.URL
+		}
 	}
+	_, routed := getRaw(t, rts.URL+"/v1/campaigns/"+ids[0])
+	_, direct := getRaw(t, ownerURL+"/v1/campaigns/"+rest)
+	want := strings.Replace(string(direct), `"id":"`+rest+`"`, `"id":"`+ids[0]+`"`, 1)
+	if string(routed) != want || !strings.Contains(want, `"name":"`+name+`"`) {
+		t.Fatalf("routed campaign reply differs from the node's:\nrouted %s\nnode   %s", routed, direct)
+	}
+
+	// The cluster-wide list carries every id, and the name unescaped.
+	_, listRaw := getRaw(t, rts.URL+"/v1/campaigns")
 	var list server.CampaignListResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&list); err != nil {
+	if err := json.Unmarshal(listRaw, &list); err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
 	listed := make(map[string]bool)
 	for _, sum := range list.Campaigns {
 		listed[sum.ID] = true
 	}
-	for _, id := range started.IDs {
+	for _, id := range append(started.IDs, ids[0]) {
 		if !listed[id] {
 			t.Fatalf("id %s missing from cluster list %v", id, list.Campaigns)
 		}
 	}
-	_ = nodes
+	if !strings.Contains(string(listRaw), `"name":"`+name+`"`) {
+		t.Fatalf("cluster list escapes the campaign name: %s", listRaw)
+	}
+}
+
+// getRaw fetches url and returns the status and body.
+func getRaw(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 func TestRouterScatterIsDeterministic(t *testing.T) {
@@ -232,6 +265,7 @@ func TestRouterEnvelopeParity(t *testing.T) {
 		{"GET", "/v1/campaigns/noprefix", "", 404, server.CodeNotFound},
 		{"GET", "/v1/unknown", "", 404, server.CodeNotFound},
 		{"DELETE", "/v1/solve", "", 405, server.CodeMethodNotAllowed},
+		{"GET", "/v1/campaigns/nowhere-a%3Cb", "", 404, server.CodeNotFound},
 	}
 	for _, tc := range cases {
 		var rd io.Reader
@@ -255,6 +289,44 @@ func TestRouterEnvelopeParity(t *testing.T) {
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code != tc.code {
 			t.Fatalf("%s %s: envelope %s (err %v), want code %s", tc.method, tc.path, raw, err, tc.code)
 		}
+	}
+	// A router-written message carries the client's id byte for byte,
+	// exactly as a node writes its own messages.
+	_, raw := getRaw(t, rts.URL+"/v1/campaigns/nowhere-a%3Cb")
+	want := `{"error":{"code":"not_found","message":"unknown node \"nowhere\" in campaign id \"nowhere-a<b\""}}` + "\n"
+	if string(raw) != want {
+		t.Fatalf("router envelope bytes\n got %s\nwant %s", raw, want)
+	}
+}
+
+func TestRouterMintsAndForwardsRequestID(t *testing.T) {
+	s, err := server.New(server.Config{Node: "n0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(chan string, 1)
+	node := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		seen <- r.Header.Get(server.RequestIDHeader)
+		s.Handler().ServeHTTP(w, r)
+	}))
+	defer node.Close()
+	cl := New(Config{})
+	if err := cl.AddNode("n0", node.URL); err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(NewRouter(cl, nil).Handler())
+	defer rts.Close()
+
+	resp, raw := postDoc(t, rts.URL+"/v1/solve", routerSolveDoc)
+	if resp.StatusCode != 200 {
+		t.Fatalf("solve: status %d: %s", resp.StatusCode, raw)
+	}
+	rid := resp.Header.Get(server.RequestIDHeader)
+	if rid == "" {
+		t.Fatal("routed reply carries no request id")
+	}
+	if got := <-seen; got != rid {
+		t.Fatalf("node saw request id %q, router replied %q", got, rid)
 	}
 }
 

@@ -89,22 +89,22 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.Release(traffic.Priority)
 	raw, err := io.ReadAll(r.Body)
 	if err != nil {
-		writeError(w, badRequestStatus(err), "%v", err)
+		WriteError(w, badRequestStatus(err), "%v", err)
 		return
 	}
 	opts := s.buildOpts()
 	cfgs, err := spec.ParseCampaigns(raw, opts)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	if len(cfgs) > maxFleetCampaigns {
-		writeError(w, http.StatusBadRequest, "fleet of %d campaigns above the %d service limit; split it", len(cfgs), maxFleetCampaigns)
+		WriteError(w, http.StatusBadRequest, "fleet of %d campaigns above the %d service limit; split it", len(cfgs), maxFleetCampaigns)
 		return
 	}
 	for i, cfg := range cfgs {
 		if err := checkCampaignLimits(i, cfg); err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 	}
@@ -112,15 +112,15 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		switch {
 		case errors.Is(err, campaign.ErrCapacity):
-			writeOverloaded(w, overloadRetry, "%v", err)
+			WriteOverloaded(w, overloadRetry, "%v", err)
 		case errors.Is(err, campaign.ErrClosed):
 			writeSuspended(w, "server is draining: %v", err)
 		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 		}
 		return
 	}
-	writeJSON(w, http.StatusAccepted, CampaignStartResponse{IDs: ids})
+	WriteJSON(w, http.StatusAccepted, CampaignStartResponse{IDs: ids})
 }
 
 // startFleet launches an admitted fleet. With a durable store the
@@ -163,10 +163,10 @@ func (s *Server) handleCampaignGet(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, ok := s.campaigns.Get(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignGetResponse{ID: id, Result: res})
+	WriteJSON(w, http.StatusOK, CampaignGetResponse{ID: id, Result: res})
 }
 
 // CampaignListResponse is the GET /v1/campaigns reply.
@@ -180,7 +180,7 @@ type CampaignListResponse struct {
 }
 
 func (s *Server) handleCampaignList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, CampaignListResponse{Campaigns: s.campaigns.List()})
+	WriteJSON(w, http.StatusOK, CampaignListResponse{Campaigns: s.campaigns.List()})
 }
 
 // handleCampaignCancel requests cancellation; the reply carries the
@@ -190,8 +190,8 @@ func (s *Server) handleCampaignCancel(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	res, ok := s.campaigns.Cancel(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignGetResponse{ID: id, Result: res})
+	WriteJSON(w, http.StatusOK, CampaignGetResponse{ID: id, Result: res})
 }

@@ -56,16 +56,16 @@ type ReplicationStateResponse struct {
 
 func (s *Server) handleReplicationState(w http.ResponseWriter, r *http.Request) {
 	if s.st == nil {
-		writeError(w, http.StatusNotFound, "no durable store on this node (start it with -state-dir)")
+		WriteError(w, http.StatusNotFound, "no durable store on this node (start it with -state-dir)")
 		return
 	}
 	state, err := s.st.State()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "read state: %v", err)
+		WriteError(w, http.StatusInternalServerError, "read state: %v", err)
 		return
 	}
 	w.Header().Set(nodeHeader, s.cfg.Node)
-	writeJSON(w, http.StatusOK, ReplicationStateResponse{
+	WriteJSON(w, http.StatusOK, ReplicationStateResponse{
 		Node:    s.cfg.Node,
 		LastSeq: state.LastSeq,
 		State:   state,
@@ -74,33 +74,33 @@ func (s *Server) handleReplicationState(w http.ResponseWriter, r *http.Request) 
 
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 	if s.st == nil {
-		writeError(w, http.StatusNotFound, "no durable store on this node (start it with -state-dir)")
+		WriteError(w, http.StatusNotFound, "no durable store on this node (start it with -state-dir)")
 		return
 	}
 	from := uint64(0)
 	if q := r.URL.Query().Get("from"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "from=%q is not a sequence number", q)
+			WriteError(w, http.StatusBadRequest, "from=%q is not a sequence number", q)
 			return
 		}
 		from = v
 	}
 	recs, err := s.st.TailSince(from)
 	if err == store.ErrCompacted {
-		writeEnvelope(w, http.StatusGone, CodeCompacted, 0,
+		WriteEnvelope(w, http.StatusGone, CodeCompacted, 0,
 			"WAL tail compacted past sequence %d; refetch /v1/replication/state", from)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, "read WAL tail: %v", err)
+		WriteError(w, http.StatusInternalServerError, "read WAL tail: %v", err)
 		return
 	}
 	var buf []byte
 	for _, rec := range recs {
 		buf, err = store.EncodeRecordFrame(buf, rec)
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "encode record %d: %v", rec.Seq, err)
+			WriteError(w, http.StatusInternalServerError, "encode record %d: %v", rec.Seq, err)
 			return
 		}
 	}
@@ -146,7 +146,7 @@ func (s *Server) handleReplicationAggregates(w http.ResponseWriter, r *http.Requ
 	if s.st != nil {
 		state, err := s.st.State()
 		if err != nil {
-			writeError(w, http.StatusInternalServerError, "read state: %v", err)
+			WriteError(w, http.StatusInternalServerError, "read state: %v", err)
 			return
 		}
 		resp.Version = state.LastSeq
@@ -167,7 +167,7 @@ func (s *Server) handleReplicationAggregates(w http.ResponseWriter, r *http.Requ
 		resp.Aggs = map[int]inference.PriceAggregate{}
 	}
 	w.Header().Set(nodeHeader, s.cfg.Node)
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // MergedFitRequest is the POST /v1/replication/fit body: a fit the
@@ -198,21 +198,21 @@ func (s *Server) handleReplicationFit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequestStatus(err), "parse merged fit: %v", err)
+		WriteError(w, badRequestStatus(err), "parse merged fit: %v", err)
 		return
 	}
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, "parse merged fit: trailing data after the request document")
+		WriteError(w, http.StatusBadRequest, "parse merged fit: trailing data after the request document")
 		return
 	}
 	for _, v := range []float64{req.Fit.Slope, req.Fit.Intercept, req.Fit.R2, req.Fit.SE} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
-			writeError(w, http.StatusBadRequest, "merged fit parameter %v is not finite", v)
+			WriteError(w, http.StatusBadRequest, "merged fit parameter %v is not finite", v)
 			return
 		}
 	}
 	if req.Fit.N < 2 || req.Fit.Prices < 2 {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			"merged fit over %d points at %d prices; a fit needs >= 2 of each", req.Fit.N, req.Fit.Prices)
 		return
 	}
@@ -220,7 +220,7 @@ func (s *Server) handleReplicationFit(w http.ResponseWriter, r *http.Request) {
 	cand, reason := guardFit(fit, req.Fit.Prices)
 	if cand == nil {
 		w.Header().Set(nodeHeader, s.cfg.Node)
-		writeJSON(w, http.StatusOK, MergedFitResponse{FitPending: reason})
+		WriteJSON(w, http.StatusOK, MergedFitResponse{FitPending: reason})
 		return
 	}
 	// ingestMu serializes the publish + journal pair with handleIngest's,
@@ -233,7 +233,7 @@ func (s *Server) handleReplicationFit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.ingestMu.Unlock()
 	w.Header().Set(nodeHeader, s.cfg.Node)
-	writeJSON(w, http.StatusOK, MergedFitResponse{
+	WriteJSON(w, http.StatusOK, MergedFitResponse{
 		Published: true,
 		Fit:       &FitInfo{Slope: fit.Slope, Intercept: fit.Intercept, R2: fit.R2, Prices: req.Fit.Prices},
 	})

@@ -52,9 +52,6 @@ import (
 	"hputune/internal/traffic"
 )
 
-// maxBodyBytes bounds request bodies (specs and trace uploads).
-const maxBodyBytes = 32 << 20
-
 // maxTrials bounds per-instance trial counts in simulate requests.
 const maxTrials = 10_000_000
 
@@ -185,13 +182,12 @@ type Server struct {
 	gate       *traffic.Gate // two-class admission: bulk solves vs priority ingest/campaigns
 	ingestGate *conc.Gate    // ingest memory cap (each upload holds ~3× its body while parsing)
 	campaigns  *campaign.Manager
-	mux        *http.ServeMux
+	edge       *Edge // routes, request ids, envelopes, per-route histograms
 
-	// Traffic layer: per-client rate limiting, process load sampling,
-	// per-endpoint latency histograms, and the access log.
+	// Traffic layer: per-client rate limiting, process load sampling
+	// and the access log.
 	limiter      *traffic.Limiter
 	loadSampler  *traffic.LoadSampler
-	hist         *traffic.HistogramSet
 	clientHeader string
 	accessLog    *log.Logger
 
@@ -249,39 +245,41 @@ func New(cfg Config) (*Server, error) {
 	if s.clientHeader == "" {
 		s.clientHeader = DefaultClientHeader
 	}
-	s.mux = http.NewServeMux()
-	var patterns []string
-	handle := func(pattern string, h http.HandlerFunc) {
-		s.mux.HandleFunc(pattern, h)
-		patterns = append(patterns, pattern)
-	}
-	handle("POST /v1/solve", s.handleSolve)
-	handle("POST /v1/solve-heterogeneous", s.handleSolveHeterogeneous)
-	handle("POST /v1/simulate", s.handleSimulate)
-	handle("POST /v1/ingest", s.handleIngest)
-	handle("POST /v1/campaigns", s.handleCampaignStart)
-	handle("GET /v1/campaigns", s.handleCampaignList)
-	handle("GET /v1/campaigns/{id}", s.handleCampaignGet)
-	handle("DELETE /v1/campaigns/{id}", s.handleCampaignCancel)
-	handle("GET /v1/stats", s.handleStats)
-	handle("GET /v1/metrics", s.handleMetrics)
-	handle("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	s.edge = NewEdge(map[string]http.HandlerFunc{
+		"POST /v1/solve":                 s.handleSolve,
+		"POST /v1/solve-heterogeneous":   s.handleSolveHeterogeneous,
+		"POST /v1/simulate":              s.handleSimulate,
+		"POST /v1/ingest":                s.handleIngest,
+		"POST /v1/campaigns":             s.handleCampaignStart,
+		"GET /v1/campaigns":              s.handleCampaignList,
+		"GET /v1/campaigns/{id}":         s.handleCampaignGet,
+		"DELETE /v1/campaigns/{id}":      s.handleCampaignCancel,
+		"GET /v1/stats":                  s.handleStats,
+		"GET /v1/metrics":                s.handleMetrics,
+		"GET /v1/healthz":                Healthz,
+		"GET /v1/replication/state":      s.handleReplicationState,
+		"GET /v1/replication/wal":        s.handleReplicationWAL,
+		"GET /v1/replication/aggregates": s.handleReplicationAggregates,
+		"POST /v1/replication/fit":       s.handleReplicationFit,
 	})
-	handle("GET /v1/replication/state", s.handleReplicationState)
-	handle("GET /v1/replication/wal", s.handleReplicationWAL)
-	handle("GET /v1/replication/aggregates", s.handleReplicationAggregates)
-	handle("POST /v1/replication/fit", s.handleReplicationFit)
-	s.hist = traffic.NewHistogramSet(patterns...)
 	return s, nil
 }
 
 // Handler returns the root handler (also usable under httptest): the
-// traffic middleware (request ids, rate limiting, envelope
-// interception, histograms, access log) around the route mux, under the
-// request-body byte cap.
+// shared edge (body cap, request ids, envelope interception,
+// histograms, access log) around the node's rate limiter and the route
+// mux.
 func (s *Server) Handler() http.Handler {
-	return http.MaxBytesHandler(s.middleware(), maxBodyBytes)
+	var logf func(*http.Request, int, int64, time.Duration)
+	if s.accessLog != nil {
+		logf = s.logAccess
+	}
+	return s.edge.Handler(http.HandlerFunc(s.admit), logf)
+}
+
+// Healthz is the liveness probe, served by nodes and the router alike.
+func Healthz(w http.ResponseWriter, r *http.Request) {
+	WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // Estimator exposes the shared estimator, e.g. to pre-warm it.
@@ -329,14 +327,6 @@ func (s *Server) Fit() (pricing.Linear, bool) {
 	return pricing.Linear{}, false
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-	_ = enc.Encode(v) // headers are out; nothing useful to do on failure
-}
-
 // overloadRetry is the Retry-After hint on gate-capacity 503s. The gate
 // has no queue, so there is no backlog to derive a wait from; one
 // second is the poll interval that drains a typical burst.
@@ -349,7 +339,7 @@ func (s *Server) admitBulk(w http.ResponseWriter) bool {
 	if s.gate.TryAcquire(traffic.Bulk) {
 		return true
 	}
-	writeOverloaded(w, overloadRetry,
+	WriteOverloaded(w, overloadRetry,
 		"server at solve capacity (%d of %d permits open to bulk work); retry shortly",
 		s.gate.BulkLimit(), s.gate.Limit())
 	return false
@@ -361,7 +351,7 @@ func (s *Server) admitPriority(w http.ResponseWriter, what string) bool {
 	if s.gate.TryAcquire(traffic.Priority) {
 		return true
 	}
-	writeOverloaded(w, overloadRetry,
+	WriteOverloaded(w, overloadRetry,
 		"server at %s capacity (%d permits in flight); retry shortly", what, s.gate.Limit())
 	return false
 }
@@ -429,7 +419,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer s.gate.Release(traffic.Bulk)
 	problems, batch, err := s.decodeSpec(r)
 	if err != nil {
-		writeError(w, badRequestStatus(err), "%v", err)
+		WriteError(w, badRequestStatus(err), "%v", err)
 		return
 	}
 	results, err := engine.SolveBatch(s.est, problems, engine.Options{Workers: s.cfg.Workers})
@@ -438,7 +428,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		// shapes, budgets, rate models — derives verbatim from the
 		// request body, so failures (including quadrature breakdowns)
 		// are parameter-driven, not server state.
-		writeError(w, http.StatusBadRequest, "solve: %v", err)
+		WriteError(w, http.StatusBadRequest, "solve: %v", err)
 		return
 	}
 	s.solves.Add(uint64(len(problems)))
@@ -446,7 +436,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	for i, res := range results {
 		resp.Results[i] = SolveResult{Prices: res.Prices, Objective: res.Objective, Spent: res.Spent}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // HeterogeneousResult is one tuned Scenario III instance.
@@ -473,12 +463,12 @@ func (s *Server) handleSolveHeterogeneous(w http.ResponseWriter, r *http.Request
 	defer s.gate.Release(traffic.Bulk)
 	problems, batch, err := s.decodeSpec(r)
 	if err != nil {
-		writeError(w, badRequestStatus(err), "%v", err)
+		WriteError(w, badRequestStatus(err), "%v", err)
 		return
 	}
 	results, err := engine.SolveHeterogeneousBatch(s.est, problems, engine.Options{Workers: s.cfg.Workers})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "solve: %v", err)
+		WriteError(w, http.StatusBadRequest, "solve: %v", err)
 		return
 	}
 	s.solves.Add(uint64(len(problems)))
@@ -490,7 +480,7 @@ func (s *Server) handleSolveHeterogeneous(w http.ResponseWriter, r *http.Request
 			Closeness: res.Closeness, Spent: res.Spent,
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // SimulateProblem is one instance to score: a spec problem plus the
@@ -544,11 +534,11 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeError(w, badRequestStatus(err), "parse request: %v", err)
+		WriteError(w, badRequestStatus(err), "parse request: %v", err)
 		return
 	}
 	if dec.More() {
-		writeError(w, http.StatusBadRequest, "parse request: trailing data after the request document")
+		WriteError(w, http.StatusBadRequest, "parse request: trailing data after the request document")
 		return
 	}
 	instances := req.Problems
@@ -557,7 +547,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		instances = []SimulateProblem{req.SimulateProblem}
 		batch = false
 	} else if len(req.Groups) > 0 || req.Budget != 0 || len(req.SimulateProblem.Prices) > 0 {
-		writeError(w, http.StatusBadRequest, "%v", spec.ErrMixedShapes)
+		WriteError(w, http.StatusBadRequest, "%v", spec.ErrMixedShapes)
 		return
 	}
 	trials := req.Trials
@@ -565,12 +555,12 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		trials = defaultTrials
 	}
 	if trials < 1 || trials > maxTrials {
-		writeError(w, http.StatusBadRequest, "trials %d outside [1, %d]", req.Trials, maxTrials)
+		WriteError(w, http.StatusBadRequest, "trials %d outside [1, %d]", req.Trials, maxTrials)
 		return
 	}
 	phase, phaseName, err := parsePhase(req.Phase)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
+		WriteError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	opts := s.buildOpts()
@@ -578,52 +568,52 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	totalReps := 0
 	for i, inst := range instances {
 		if len(inst.Groups) == 0 {
-			writeError(w, http.StatusBadRequest, "problem %d: no groups", i)
+			WriteError(w, http.StatusBadRequest, "problem %d: no groups", i)
 			return
 		}
 		sp := spec.Problem{Budget: inst.Budget, Groups: inst.Groups}
 		p, err := sp.Build(opts)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "problem %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "problem %d: %v", i, err)
 			return
 		}
 		// Size checks and model validation must precede the per-task
 		// allocation below, which materializes Σ tasks × reps ints.
 		reps, err := checkProblemLimits(i, p)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "%v", err)
+			WriteError(w, http.StatusBadRequest, "%v", err)
 			return
 		}
 		if err := p.Validate(); err != nil {
-			writeError(w, http.StatusBadRequest, "problem %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "problem %d: %v", i, err)
 			return
 		}
 		totalReps += reps
 		if totalReps > maxRequestReps {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				"simulate request totals more than %d repetitions (service limit); split the batch", maxRequestReps)
 			return
 		}
 		if totalReps > maxSimulateWork/trials {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				"simulate request needs %d × %d+ samples, above the %d service limit; lower trials or split the batch",
 				trials, totalReps, maxSimulateWork)
 			return
 		}
 		alloc, err := htuning.NewUniformAllocation(p, inst.Prices)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, "problem %d: %v", i, err)
+			WriteError(w, http.StatusBadRequest, "problem %d: %v", i, err)
 			return
 		}
 		items[i] = engine.SimulateItem{Problem: p, Allocation: alloc}
 	}
 	lats, err := engine.SimulateBatch(items, phase, trials, req.Seed, engine.Options{Workers: s.cfg.Workers})
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "simulate: %v", err)
+		WriteError(w, http.StatusBadRequest, "simulate: %v", err)
 		return
 	}
 	s.simulates.Add(uint64(len(items)))
-	writeJSON(w, http.StatusOK, SimulateResponse{
+	WriteJSON(w, http.StatusOK, SimulateResponse{
 		Batch: batch, Trials: trials, Phase: phaseName, Latencies: lats,
 	})
 }
@@ -668,18 +658,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.gate.Release(traffic.Priority)
 	if !s.ingestGate.TryAcquire() {
-		writeOverloaded(w, overloadRetry,
+		WriteOverloaded(w, overloadRetry,
 			"server at ingest capacity (%d uploads parsing); retry shortly", s.ingestGate.Limit())
 		return
 	}
 	defer s.ingestGate.Release()
 	recs, err := readTraceBody(r)
 	if err != nil {
-		writeError(w, badRequestStatus(err), "%v", err)
+		WriteError(w, badRequestStatus(err), "%v", err)
 		return
 	}
 	if len(recs) == 0 {
-		writeError(w, http.StatusBadRequest, "no trace records in body")
+		WriteError(w, http.StatusBadRequest, "no trace records in body")
 		return
 	}
 	// Validate and fold the whole batch into local deltas before touching
@@ -690,14 +680,14 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	deltas := make(map[int]inference.PriceAggregate)
 	for _, rec := range recs {
 		if rec.Price < 1 {
-			writeError(w, http.StatusBadRequest, "record %q rep %d: price %d below 1 unit (model domain is c >= 1)", rec.TaskID, rec.Rep, rec.Price)
+			WriteError(w, http.StatusBadRequest, "record %q rep %d: price %d below 1 unit (model domain is c >= 1)", rec.TaskID, rec.Rep, rec.Price)
 			return
 		}
 		d := rec.OnHold()
 		// Finite and non-negative: one +Inf duration would push the
 		// price's add-only Total to +Inf and zero its MLE rate forever.
 		if !(d >= 0) || math.IsInf(d, 1) {
-			writeError(w, http.StatusBadRequest, "record %q rep %d: on-hold duration %v is not a finite non-negative number", rec.TaskID, rec.Rep, d)
+			WriteError(w, http.StatusBadRequest, "record %q rep %d: on-hold duration %v is not a finite non-negative number", rec.TaskID, rec.Rep, d)
 			return
 		}
 		agg := deltas[rec.Price]
@@ -715,7 +705,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if len(s.aggs)+newLevels > maxPriceLevels {
-		writeError(w, http.StatusBadRequest,
+		WriteError(w, http.StatusBadRequest,
 			"ingest would track %d distinct price levels, above the %d service limit", len(s.aggs)+newLevels, maxPriceLevels)
 		return
 	}
@@ -724,7 +714,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	// would zero that price's MLE rate for the life of the process.
 	for price, delta := range deltas {
 		if math.IsInf(s.aggs[price].Total+delta.Total, 1) {
-			writeError(w, http.StatusBadRequest,
+			WriteError(w, http.StatusBadRequest,
 				"durations at price %d sum past the float64 range", price)
 			return
 		}
@@ -766,7 +756,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 // readTraceBody decodes the ingest body per Content-Type. The media
@@ -828,5 +818,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if f := s.fit.Load(); f != nil {
 		resp.Fit = &FitInfo{Slope: f.fit.Slope, Intercept: f.fit.Intercept, R2: f.fit.R2, Prices: f.prices}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }

@@ -1,15 +1,10 @@
 package server
 
 import (
-	"crypto/rand"
-	"encoding/hex"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"hputune/internal/campaign"
@@ -58,44 +53,6 @@ type TrafficConfig struct {
 // identity for ring placement and stamps it on forwarded requests.
 const DefaultClientHeader = "X-Client-ID"
 
-// requestIDHeader carries the request identity; accepted from the
-// client or generated, echoed on every response, logged.
-const requestIDHeader = "X-Request-ID"
-
-// ridPrefix/ridSeq build generated request ids: one random process
-// prefix plus a counter, so ids are unique across restarts without
-// per-request entropy.
-var (
-	ridPrefix = func() string {
-		var b [4]byte
-		if _, err := rand.Read(b[:]); err != nil {
-			return fmt.Sprintf("%08x", os.Getpid())
-		}
-		return hex.EncodeToString(b[:])
-	}()
-	ridSeq atomic.Uint64
-)
-
-// requestID returns the validated client-supplied X-Request-ID or
-// generates one. Client values are accepted only when short and
-// printable-ASCII (they are echoed into headers and logs).
-func requestID(r *http.Request) string {
-	id := r.Header.Get(requestIDHeader)
-	if id != "" && len(id) <= 128 && printableASCII(id) {
-		return id
-	}
-	return fmt.Sprintf("%s-%d", ridPrefix, ridSeq.Add(1))
-}
-
-func printableASCII(s string) bool {
-	for i := 0; i < len(s); i++ {
-		if s[i] < 0x21 || s[i] > 0x7e {
-			return false
-		}
-	}
-	return true
-}
-
 // ResolveClientKey is the one client-identity rule shared by every
 // layer that partitions or budgets by client — this server's rate
 // limiter and the cluster router's ingest placement: the client header
@@ -133,44 +90,27 @@ func rateLimitExempt(path string) bool {
 		strings.HasPrefix(path, "/v1/replication/")
 }
 
-// middleware wraps the mux with the traffic layer, outermost first:
-// request identity (echoed even on replies written before admission),
-// envelope interception for non-JSON errors, per-client rate limiting,
-// then — after the handler — the per-endpoint latency histogram and the
-// access log line.
-func (s *Server) middleware() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		rid := requestID(r)
-		w.Header().Set(requestIDHeader, rid)
-		ew := &envelopeWriter{rw: w}
-		// The matched route pattern labels the histogram; unmatched
-		// requests (404s, 405s) pool under "other".
-		_, pattern := s.mux.Handler(r)
+// admit applies the node-only admission that sits inside the edge:
+// per-client rate limiting (health, metrics and replication probes
+// exempt) before the route mux. The edge echoes the request id and
+// envelopes the 429.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request) {
+	if !rateLimitExempt(r.URL.Path) {
 		client := s.clientKey(r)
-		ok, retry := true, time.Duration(0)
-		if !rateLimitExempt(r.URL.Path) {
-			ok, retry = s.limiter.Allow(client)
-		}
-		if !ok {
-			writeEnvelope(ew, http.StatusTooManyRequests, CodeRateLimited, retry,
+		if ok, retry := s.limiter.Allow(client); !ok {
+			WriteEnvelope(w, http.StatusTooManyRequests, CodeRateLimited, retry,
 				"client %q over the %g request/s limit; wait %dms", client, s.limiter.Rate(), int64((retry+time.Millisecond-1)/time.Millisecond))
-		} else {
-			s.mux.ServeHTTP(ew, r)
+			return
 		}
-		ew.finish()
-		s.observe(pattern, time.Since(start))
-		if s.accessLog != nil {
-			s.accessLog.Printf("%s %s %d %dB %.3fms rid=%s client=%s",
-				r.Method, r.URL.Path, ew.Status(), ew.bytes,
-				float64(time.Since(start))/float64(time.Millisecond), rid, client)
-		}
-	})
+	}
+	s.edge.ServeHTTP(w, r)
 }
 
-// observe records one request duration under its route pattern.
-func (s *Server) observe(pattern string, d time.Duration) {
-	s.hist.Observe(pattern, d)
+// logAccess writes the access-log line of one finished request.
+func (s *Server) logAccess(r *http.Request, status int, bytes int64, elapsed time.Duration) {
+	s.accessLog.Printf("%s %s %d %dB %.3fms rid=%s client=%s",
+		r.Method, r.URL.Path, status, bytes,
+		float64(elapsed)/float64(time.Millisecond), RequestID(r), s.clientKey(r))
 }
 
 // MetricsSnapshot is the GET /v1/metrics document: per-endpoint latency
@@ -207,7 +147,7 @@ type MetricsSnapshot struct {
 // document) for embedders.
 func (s *Server) Metrics() MetricsSnapshot {
 	return MetricsSnapshot{
-		Endpoints: s.hist.Snapshot(),
+		Endpoints: s.edge.Histograms(),
 		Admission: s.gate.Snapshot(),
 		RateLimit: s.limiter.Stats(),
 		Load:      s.loadSampler.Load(),
@@ -227,5 +167,5 @@ func (s *Server) storeMetrics() *store.Metrics {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.Metrics())
+	WriteJSON(w, http.StatusOK, s.Metrics())
 }

@@ -123,7 +123,7 @@ func TestErrorEnvelopeParity(t *testing.T) {
 // suspended).
 func TestEnvelopeTooLargeAndSuspended(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	huge := strings.Repeat(" ", maxBodyBytes+1)
+	huge := strings.Repeat(" ", MaxBodyBytes+1)
 	resp, env, _ := doReq(t, "POST", ts.URL+"/v1/solve", huge, nil)
 	if resp.StatusCode != http.StatusRequestEntityTooLarge || env.Error.Code != CodeTooLarge {
 		t.Fatalf("oversized body: status %d code %q, want 413 %q", resp.StatusCode, env.Error.Code, CodeTooLarge)

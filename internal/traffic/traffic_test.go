@@ -266,6 +266,22 @@ func TestHistogramSnapshot(t *testing.T) {
 	}
 }
 
+func TestHistogramSetPoolsUnmatchedUnderOther(t *testing.T) {
+	s := NewHistogramSet("GET /a", "POST /b")
+	s.Observe("GET /a", time.Millisecond)
+	s.Observe("GET /a", time.Millisecond)
+	s.Observe("", time.Millisecond)       // unmatched route
+	s.Observe("PUT /c", time.Millisecond) // unregistered pattern
+	snap := s.Snapshot()
+	if len(snap) != 3 {
+		t.Fatalf("snapshot keys %v, want the two patterns plus other", snap)
+	}
+	if snap["GET /a"].Count != 2 || snap["POST /b"].Count != 0 || snap["other"].Count != 2 {
+		t.Fatalf("counts a=%d b=%d other=%d, want 2, 0, 2",
+			snap["GET /a"].Count, snap["POST /b"].Count, snap["other"].Count)
+	}
+}
+
 func TestLoadSamplerDeltas(t *testing.T) {
 	clock := time.Unix(0, 0)
 	cpu := 0.0
