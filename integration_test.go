@@ -227,12 +227,12 @@ func TestComparatorFacade(t *testing.T) {
 	}
 }
 
-// TestCampaignFacadeLearnsFromWrongPrior runs examples/adaptive's
-// campaign through the facade: round 0 is priced on a prior that
+// TestAdaptiveFacade runs examples/adaptive's campaign through the
+// facade: round 0 is priced on a prior that
 // believes payment barely matters, so it starves the 40-task group; the
 // fit of round 0's observations must price every later round faster
 // and land near the true model.
-func TestCampaignFacadeLearnsFromWrongPrior(t *testing.T) {
+func TestAdaptiveFacade(t *testing.T) {
 	class := &hputune.TaskClass{Name: "vote", Accept: hputune.Linear{K: 1, B: 1}, ProcRate: 4, Accuracy: 1}
 	res, err := hputune.RunCampaign(context.Background(), nil, hputune.Campaign{
 		Groups: []hputune.CampaignGroup{

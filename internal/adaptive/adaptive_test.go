@@ -1,9 +1,13 @@
 package adaptive
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
+	"hputune/internal/campaign"
+	"hputune/internal/htuning"
 	"hputune/internal/market"
 	"hputune/internal/pricing"
 )
@@ -11,86 +15,104 @@ import (
 // trueModel is the market's actual acceptance behaviour in these tests.
 var trueModel = pricing.Linear{K: 1, B: 1}
 
-func testGroups() []GroupSpec {
-	class := &market.TaskClass{
-		Name:     "vote",
-		Accept:   trueModel,
-		ProcRate: 4,
-		Accuracy: 1,
-	}
-	return []GroupSpec{
-		{Name: "g3", Tasks: 25, Reps: 3, TrueClass: class},
-		{Name: "g5", Tasks: 25, Reps: 5, TrueClass: class},
+func voteClass() *market.TaskClass {
+	return &market.TaskClass{Name: "vote", Accept: trueModel, ProcRate: 4, Accuracy: 1}
+}
+
+// testGroups has two repetition counts, so the solver prices the groups
+// at two levels and every round's observations can yield a fit.
+func testGroups() []campaign.Group {
+	return []campaign.Group{
+		{Name: "g3", Tasks: 25, Reps: 3, Class: voteClass()},
+		{Name: "g5", Tasks: 25, Reps: 5, Class: voteClass()},
 	}
 }
 
+func run(t *testing.T, cfg campaign.Config) campaign.Result {
+	t.Helper()
+	res, err := campaign.Run(context.Background(), nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 func TestControllerValidation(t *testing.T) {
-	c := &Controller{Groups: testGroups(), Budget: 10, Prior: trueModel}
-	if _, err := c.Run(); err == nil {
-		t.Error("starved budget accepted")
+	cases := []struct {
+		name string
+		mut  func(*campaign.Config)
+	}{
+		{"starved budget", func(c *campaign.Config) { c.RoundBudget = 10 }},
+		{"no groups", func(c *campaign.Config) { c.Groups = nil }},
+		{"nil prior", func(c *campaign.Config) { c.Prior = nil }},
+		{"zero-task group", func(c *campaign.Config) { c.Groups[0].Tasks = 0 }},
 	}
-	c = &Controller{Budget: 1000, Prior: trueModel}
-	if _, err := c.Run(); err == nil {
-		t.Error("empty groups accepted")
-	}
-	c = &Controller{Groups: testGroups(), Budget: 1000}
-	if _, err := c.Run(); err == nil {
-		t.Error("nil prior accepted")
-	}
-	bad := testGroups()
-	bad[0].Tasks = 0
-	c = &Controller{Groups: bad, Budget: 1000, Prior: trueModel}
-	if _, err := c.Run(); err == nil {
-		t.Error("zero-task group accepted")
+	for _, tc := range cases {
+		cfg := campaign.Config{Groups: testGroups(), Prior: trueModel, RoundBudget: 1000}
+		tc.mut(&cfg)
+		if _, err := campaign.New(nil, cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
 func TestControllerCompletesAndSpendsWithinBudget(t *testing.T) {
-	c := &Controller{Groups: testGroups(), Budget: 1500, Prior: trueModel, Seed: 3}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
+	cfg := campaign.Config{Groups: testGroups(), Prior: trueModel, RoundBudget: 1500, Budget: 6000, MaxRounds: 4, Seed: 3}
+	res := run(t, cfg)
+	if !res.Status.Terminal() || res.RoundsRun < 1 {
+		t.Fatalf("status %s after %d rounds", res.Status, res.RoundsRun)
 	}
-	if rep.Makespan <= 0 {
-		t.Error("no makespan")
+	if res.Spent > cfg.Budget || res.Spent+res.Remaining != cfg.Budget {
+		t.Errorf("spent %d + remaining %d, budget %d", res.Spent, res.Remaining, cfg.Budget)
 	}
-	if rep.Spent > c.Budget {
-		t.Errorf("overspent: %d > %d", rep.Spent, c.Budget)
-	}
-	// 5 waves: max reps across groups.
-	if len(rep.WavePrices) != 5 {
-		t.Errorf("got %d waves, want 5", len(rep.WavePrices))
-	}
-	// Wave 0 prices cover both groups; wave 4 only the 5-rep group.
-	if len(rep.WavePrices[0]) != 2 || len(rep.WavePrices[4]) != 1 {
-		t.Errorf("wave price shapes wrong: %v", rep.WavePrices)
+	// Every round runs the whole job: 25×3 + 25×5 repetitions, one price
+	// per group, within the round's own budget.
+	for _, r := range res.Rounds {
+		if r.Makespan <= 0 {
+			t.Errorf("round %d has no makespan", r.Round)
+		}
+		if r.Spent > r.Budget || r.Budget > cfg.RoundBudget {
+			t.Errorf("round %d spent %d of %d (round budget %d)", r.Round, r.Spent, r.Budget, cfg.RoundBudget)
+		}
+		if r.Records != 200 || len(r.Prices) != 2 {
+			t.Errorf("round %d observed %d repetitions at prices %v, want 200 at two group prices", r.Round, r.Records, r.Prices)
+		}
 	}
 }
 
 func TestBeliefRecoversTrueModel(t *testing.T) {
-	// Start from a badly wrong prior; after the run the fitted model
-	// should be close to the truth.
-	wrongPrior := pricing.Linear{K: 6, B: 0.2}
-	c := &Controller{Groups: testGroups(), Budget: 2500, Prior: wrongPrior, Seed: 11}
-	rep, err := c.Run()
+	// Start from a badly wrong prior; after the run the published fit
+	// and the per-price rate estimates behind it must be near the truth.
+	c, err := campaign.New(nil, campaign.Config{
+		Groups:      testGroups(),
+		Prior:       pricing.Linear{K: 6, B: 0.2},
+		RoundBudget: 2500,
+		MaxRounds:   6,
+		Epsilon:     0.05,
+		Seed:        11,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.PriceLevels) < 1 {
-		t.Fatal("no price levels observed")
+	if _, err := c.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	chk := c.Checkpoint()
+	if len(chk.Aggs) < 2 {
+		t.Fatalf("observed %d price levels, need 2 for a fit", len(chk.Aggs))
 	}
 	// Each observed level's MLE must be near the true rate.
-	for i, p := range rep.PriceLevels {
-		want := trueModel.Rate(p)
-		got := rep.RateEstimates[i]
-		if math.Abs(got-want) > 0.35*want {
-			t.Errorf("price %v: λ̂ = %v, true %v", p, got, want)
+	for p, agg := range chk.Aggs {
+		got, err := agg.Rate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := trueModel.Rate(float64(p)); math.Abs(got-want) > 0.35*want {
+			t.Errorf("price %d: λ̂ = %v, true %v", p, got, want)
 		}
 	}
-	if len(rep.PriceLevels) >= 2 {
-		if math.Abs(rep.FinalFit.Slope-1) > 0.5 {
-			t.Errorf("fitted slope %v, true 1", rep.FinalFit.Slope)
-		}
+	if chk.Fit == nil || math.Abs(chk.Fit.Slope-1) > 0.5 {
+		t.Errorf("fit %+v, want a slope near the true 1", chk.Fit)
 	}
 }
 
@@ -101,121 +123,79 @@ func TestAdaptiveBeatsFrozenWrongPrior(t *testing.T) {
 	// near-uniform plan. Here a 40-task group faces a 10-task group, and
 	// the wrong prior believes price barely moves the rate (g almost
 	// flat): its plan starves the big group at price 1 and dumps the
-	// budget on the small group. A frozen controller repeats that
-	// mistake every wave; the adaptive controller observes wave 0 and
-	// recovers the true model, so it must finish clearly faster.
-	class := &market.TaskClass{Name: "vote", Accept: trueModel, ProcRate: 4, Accuracy: 1}
-	groups := []GroupSpec{
-		{Name: "big", Tasks: 40, Reps: 3, TrueClass: class},
-		{Name: "small", Tasks: 10, Reps: 5, TrueClass: class},
-	}
-	wrongPrior := pricing.Linear{K: 0.05, B: 8}
-	const rounds = 5
-	meanMakespan := func(freeze bool) float64 {
-		total := 0.0
-		for r := 0; r < rounds; r++ {
-			c := &Controller{
-				Groups: groups,
-				Budget: 2500,
-				Prior:  wrongPrior,
-				Seed:   uint64(100 + r),
-				Freeze: freeze,
-			}
-			rep, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += rep.Makespan
+	// budget on the small group. Round 0 is priced on that prior, the
+	// plan a frozen controller would repeat every round; the rounds
+	// priced on the fit of the observed on-hold times must finish
+	// clearly faster.
+	const seeds = 5
+	var frozen, adaptive float64
+	for s := uint64(0); s < seeds; s++ {
+		res := run(t, campaign.Config{
+			Groups: []campaign.Group{
+				{Name: "big", Tasks: 40, Reps: 3, Class: voteClass()},
+				{Name: "small", Tasks: 10, Reps: 5, Class: voteClass()},
+			},
+			Prior:       pricing.Linear{K: 0.05, B: 8},
+			RoundBudget: 2500,
+			MaxRounds:   3,
+			Seed:        100 + s,
+		})
+		if res.RoundsRun < 2 {
+			t.Fatalf("seed %d: %d rounds, need a round priced on the fit", 100+s, res.RoundsRun)
 		}
-		return total / rounds
+		frozen += res.Rounds[0].Makespan / seeds
+		for _, r := range res.Rounds[1:] {
+			adaptive += r.Makespan / float64(len(res.Rounds)-1) / seeds
+		}
 	}
-	adaptive := meanMakespan(false)
-	frozen := meanMakespan(true)
 	if adaptive >= frozen {
 		t.Errorf("adaptive %.3f not faster than frozen wrong prior %.3f", adaptive, frozen)
 	}
 }
 
-func TestAdaptiveApproachesOracle(t *testing.T) {
-	// The oracle starts with the true model. The adaptive run starts
-	// wrong but must land within 2x of the oracle's makespan (it pays a
-	// first-wave learning tax).
-	const rounds = 5
-	run := func(prior pricing.RateModel) float64 {
-		total := 0.0
-		for r := 0; r < rounds; r++ {
-			c := &Controller{
-				Groups: testGroups(),
-				Budget: 2500,
-				Prior:  prior,
-				Seed:   uint64(500 + r),
+// fallingRate reports on-hold times that lengthen with the price, so the
+// per-price MLE rates fall as the payment rises (a noise artifact the
+// Linearity Hypothesis rules out).
+type fallingRate struct{}
+
+func (fallingRate) Execute(_ context.Context, _ int, _ htuning.Problem, a htuning.Allocation, _ uint64) (campaign.Observation, error) {
+	var obs campaign.Observation
+	for _, tasks := range a.RepPrices {
+		for _, reps := range tasks {
+			for i, p := range reps {
+				rec := market.RepRecord{Rep: i, Price: p, Accepted: 0.1 * float64(p)}
+				rec.Done = rec.Accepted + 0.25
+				obs.Records = append(obs.Records, rec)
+				obs.Makespan = math.Max(obs.Makespan, rec.Done)
 			}
-			rep, err := c.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			total += rep.Makespan
 		}
-		return total / rounds
 	}
-	oracle := run(trueModel)
-	adaptive := run(pricing.Linear{K: 20, B: 0.1})
-	if adaptive > 2*oracle {
-		t.Errorf("adaptive %.3f more than 2x oracle %.3f", adaptive, oracle)
-	}
-}
-
-func TestFreezeKeepsPrior(t *testing.T) {
-	c := &Controller{Groups: testGroups(), Budget: 1500, Prior: trueModel, Seed: 9, Freeze: true}
-	rep, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.FinalFit.N != 0 {
-		t.Errorf("frozen controller fitted a model: %+v", rep.FinalFit)
-	}
-}
-
-func TestBeliefFallbacks(t *testing.T) {
-	b := newBelief(trueModel, 3)
-	// No data: prior.
-	m, _ := b.model()
-	if m.Rate(2) != trueModel.Rate(2) {
-		t.Error("empty belief should return the prior")
-	}
-	// One level with enough data: scaled prior.
-	for i := 0; i < 5; i++ {
-		b.observe(2, 0.5) // MLE rate 2; prior says 3 at price 2
-	}
-	m, _ = b.model()
-	want := trueModel.Rate(2) * (2.0 / 3.0)
-	if math.Abs(m.Rate(2)-want) > 1e-9 {
-		t.Errorf("scaled belief Rate(2) = %v, want %v", m.Rate(2), want)
-	}
-	// Two levels: linear fit.
-	for i := 0; i < 5; i++ {
-		b.observe(4, 0.2) // MLE rate 5 at price 4
-	}
-	m, fit := b.model()
-	if fit.N != 2 {
-		t.Errorf("fit over %d levels, want 2", fit.N)
-	}
-	// Line through (2,2) and (4,5): slope 1.5, intercept -1.
-	if math.Abs(m.Rate(2)-2) > 1e-6 || math.Abs(m.Rate(4)-5) > 1e-6 {
-		t.Errorf("fitted model wrong: Rate(2)=%v Rate(4)=%v", m.Rate(2), m.Rate(4))
-	}
+	return obs, nil
 }
 
 func TestBeliefRejectsNegativeSlope(t *testing.T) {
-	b := newBelief(trueModel, 2)
-	// Observations implying rate falls with price (noise artifact).
-	for i := 0; i < 3; i++ {
-		b.observe(2, 0.2) // rate 5
-		b.observe(4, 0.5) // rate 2
+	res := run(t, campaign.Config{
+		Groups:      testGroups(),
+		Prior:       trueModel,
+		RoundBudget: 1500,
+		MaxRounds:   3,
+		Executor:    fallingRate{},
+	})
+	// The decreasing fit must never be published: every round stays
+	// priced on the (increasing) prior, so the allocation repeats and the
+	// campaign settles on the prior after its second round.
+	if res.RoundsRun < 2 {
+		t.Fatalf("ran %d rounds, need one priced after a rejected fit: %s %q", res.RoundsRun, res.Status, res.Reason)
 	}
-	m, _ := b.model()
-	// Fallback must still be increasing in price.
-	if m.Rate(5) < m.Rate(2) {
-		t.Errorf("belief not monotone: Rate(2)=%v Rate(5)=%v", m.Rate(2), m.Rate(5))
+	for _, r := range res.Rounds {
+		if r.Fit != nil || !strings.Contains(r.FitPending, "violates") {
+			t.Errorf("round %d published %+v (pending %q)", r.Round, r.Fit, r.FitPending)
+		}
+		if r.Model != trueModel.Name() {
+			t.Errorf("round %d priced on %q, want the prior %q", r.Round, r.Model, trueModel.Name())
+		}
+	}
+	if res.Fit != nil {
+		t.Errorf("final belief %+v is not the prior", res.Fit)
 	}
 }
